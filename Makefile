@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-engine shard-race serve-race serve-smoke telemetry chaos cover bench microbench experiments experiments-full fmt fmt-check vet vet-strict lint lint-sarif fuzz-smoke clean
+.PHONY: all check build test race race-engine serve-race serve-smoke telemetry chaos cover bench microbench experiments experiments-full fmt fmt-check vet vet-strict lint lint-sarif fuzz-smoke bench-check clean
 
 all: check
 
@@ -27,13 +27,6 @@ race:
 # overlay structures.
 race-engine:
 	$(GO) test -race -count=2 ./internal/core/... ./internal/sindex/... ./internal/overlay/...
-
-# The sharded scatter-gather engine, twice, under the race detector:
-# the deterministic-merge fuzz matrix, the sharded concurrent storm
-# with interleaved invalidations, and the chaos matrix covering the
-# shard-partition faultpoint.
-shard-race:
-	$(GO) test -race -count=2 -run 'Shard|Chaos' ./internal/core/...
 
 # The telemetry service under the race detector: the collector's
 # windowed histograms and rings, the HTTP exposition handlers reading
@@ -88,24 +81,32 @@ vet-strict: vet
 		./...
 
 # Each fuzz target for 10s: point-in-polygon vs the grid-verify scan
-# oracle, and the Piet-QL parser's no-panic guarantee.
+# oracle, the Piet-QL parser's no-panic guarantee, and /ingest's
+# guarantee that an accepted batch never breaks a later query.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPointInPolygon -fuzztime=10s ./internal/geom/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/pietql/
+	$(GO) test -run=NONE -fuzz=FuzzIngest -fuzztime=10s ./internal/server/
+
+# The wire benchmark is its own module (wirebench/go.mod), so the
+# root build and tests never compile it. Vet it and run its fast unit
+# tests, so a change to the APIs it uses (core.Querier, pietql.System,
+# server.SystemConfig) breaks the build here, not the benchmark run.
+bench-check:
+	cd wirebench && $(GO) vet ./... && $(GO) test -run 'TestOracleRejectsWrongAnswers|TestCovered|TestQuantile' ./...
 
 cover:
 	$(GO) test -cover ./...
 
 # The benchmark baseline: full-size P2 (summable vs integration), P9
-# (parallel query path), P10 (pre-aggregated grid), P12 (sharded
-# scatter-gather sweep), and P13 (per-cell temporal index), with
-# machine-readable {meta, reports} JSON in BENCH_PR8.json and a delta
-# table against the committed BENCH_PR7.json baseline. Fails if any
-# tracked ns_per_op metric regresses more than 2x; runs whose recorded
-# gomaxprocs (or other meta config) differs from the baseline's warn
-# instead.
+# (parallel query path), P10 (pre-aggregated grid) and P13 (per-cell
+# temporal index), with machine-readable {meta, reports} JSON in
+# BENCH_PR8.json and a delta table against the committed BENCH_PR7.json
+# baseline. Fails if any tracked ns_per_op metric regresses more than
+# 2x; runs whose recorded gomaxprocs (or other meta config) differs
+# from the baseline's warn instead.
 bench:
-	$(GO) run ./cmd/mobench -full -exp P2,P9,P10,P12,P13 -json BENCH_PR8.json -baseline BENCH_PR7.json
+	$(GO) run ./cmd/mobench -full -exp P2,P9,P10,P13 -json BENCH_PR8.json -baseline BENCH_PR7.json
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...

@@ -9,7 +9,9 @@ import (
 // {meta, reports} files round-trip with their meta header, and legacy
 // bare-array BENCH_*.json files from runs before the header existed
 // still load (with hasMeta=false, so no config-drift warnings fire
-// against a config that was never recorded).
+// against a config that was never recorded). The current-shape fixture
+// keeps the "shards" key that BENCH_PR7/PR8 meta headers carry: a
+// baseline with a retired meta field must still load.
 func TestReadBenchShapes(t *testing.T) {
 	current := []byte(`{
 		"meta": {"gomaxprocs": 8, "full": true, "workers": 4, "shards": 2, "grid_cells": 64, "time_buckets": 16},
@@ -24,7 +26,7 @@ func TestReadBenchShapes(t *testing.T) {
 	if !hasMeta {
 		t.Error("current shape: hasMeta = false, want true")
 	}
-	if bf.Meta.GoMaxProcs != 8 || bf.Meta.Shards != 2 || !bf.Meta.Full {
+	if bf.Meta.GoMaxProcs != 8 || !bf.Meta.Full || bf.Meta.GridCells != 64 {
 		t.Errorf("current shape: meta not preserved: %+v", bf.Meta)
 	}
 	if len(bf.Reports) != 1 || bf.Reports[0].ID != "P2" || bf.Reports[0].Metrics["ns_per_op"] != 123.5 {

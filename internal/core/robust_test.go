@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"mogis/internal/core"
 	"mogis/internal/faultpoint"
 	"mogis/internal/geom"
+	"mogis/internal/layer"
+	"mogis/internal/moft"
 	"mogis/internal/obs"
 	"mogis/internal/qerr"
 	"mogis/internal/timedim"
@@ -20,16 +23,13 @@ import (
 // and enough objects (64 > serialThreshold) to exercise the parallel
 // fan-out, plus the query shapes the robustness tests reuse.
 type robustWorkload struct {
-	eng *core.Engine
-	// sharded is a 3-shard coordinator over the same model context,
-	// for the chaos cells and robustness tests of the scatter path.
-	sharded *core.ShardedEngine
-	met     *obs.Metrics
-	pg      geom.Polygon
-	center  geom.Point
-	radius  float64
-	win     timedim.Interval
-	mid     timedim.Instant
+	eng    *core.Engine
+	met    *obs.Metrics
+	pg     geom.Polygon
+	center geom.Point
+	radius float64
+	win    timedim.Interval
+	mid    timedim.Instant
 }
 
 func newRobustWorkload(t *testing.T) *robustWorkload {
@@ -40,19 +40,47 @@ func newRobustWorkload(t *testing.T) *robustWorkload {
 	_, eng := city.Context(fm)
 	met := obs.NewMetrics(obs.NewRegistry())
 	eng.SetMetrics(met)
-	sharded := core.NewSharded(eng.Context(), 3)
-	sharded.SetMetrics(met)
 	pg, ok := city.Ln.Polygon(1)
 	if !ok {
 		t.Fatal("city has no neighborhood polygon 1")
 	}
 	return &robustWorkload{
-		eng: eng, sharded: sharded, met: met, pg: pg,
+		eng: eng, met: met, pg: pg,
 		center: geom.Pt(city.Extent.MinX+city.Extent.Width()/2, city.Extent.MinY+city.Extent.Height()/2),
 		radius: city.Extent.Width() / 4,
 		win:    timedim.Interval{Lo: lo, Hi: hi},
 		mid:    lo + (hi-lo)/2,
 	}
+}
+
+// newRandomWorkload builds one randomized city+trajectory workload
+// from seed (the identity tests sweep several seeds), with a shorter
+// window than newRobustWorkload's so interval queries cut the extent.
+func newRandomWorkload(t *testing.T, seed int64) (*robustWorkload, *moft.Table) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	city := workload.GenCity(workload.CityConfig{Seed: seed, Cols: 4, Rows: 4})
+	fm := workload.GenTrajectories(city.Extent, workload.TrajConfig{
+		Seed:    seed * 31,
+		Objects: 40 + rng.Intn(24),
+		Samples: 20 + rng.Intn(16),
+	})
+	lo, hi, _ := fm.TimeSpan()
+	_, eng := city.Context(fm)
+	met := obs.NewMetrics(obs.NewRegistry())
+	eng.SetMetrics(met)
+	pg, ok := city.Ln.Polygon(layer.Gid(1 + rng.Intn(8)))
+	if !ok {
+		t.Fatal("city has no neighborhood polygon")
+	}
+	w := &robustWorkload{
+		eng: eng, met: met, pg: pg,
+		center: city.Extent.Center(),
+		radius: city.Extent.Width() / 4,
+		win:    timedim.Interval{Lo: lo, Hi: hi - (hi-lo)/4},
+		mid:    lo + (hi-lo)/2,
+	}
+	return w, fm
 }
 
 // TestPreCancelledContext: a context already cancelled at entry makes

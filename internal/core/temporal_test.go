@@ -8,10 +8,8 @@ import (
 	"sort"
 	"testing"
 
-	"mogis/internal/core"
 	"mogis/internal/geom"
 	"mogis/internal/moft"
-	"mogis/internal/obs"
 	"mogis/internal/timedim"
 )
 
@@ -56,13 +54,13 @@ func randomQueryWindow(rng *rand.Rand, lo, hi timedim.Instant) timedim.Interval 
 	}
 }
 
-// TestTemporalShardedFuzz fuzzes region×interval queries through the
-// engine across time-bucket configs (forced 1/16/256, adaptive,
-// disabled) and shard counts (1/2/3): every CountSamplesInside /
-// ObjectsSampledInside / ObjectsPassingThrough answer must be
-// reflect.DeepEqual to the unsharded scan-path oracle.
-func TestTemporalShardedFuzz(t *testing.T) {
-	w, fm := newShardedFixture(t, 21)
+// TestTemporalFuzz fuzzes region×interval queries through the engine
+// across time-bucket configs (forced 1/16/256, adaptive, disabled):
+// every CountSamplesInside / ObjectsSampledInside /
+// ObjectsPassingThrough answer must be reflect.DeepEqual to the
+// scan-path oracle.
+func TestTemporalFuzz(t *testing.T) {
+	w, fm := newRandomWorkload(t, 21)
 	lo, hi, _ := fm.TimeSpan()
 	rng := rand.New(rand.NewSource(33))
 
@@ -82,18 +80,18 @@ func TestTemporalShardedFuzz(t *testing.T) {
 		sampled []moft.Oid
 		passing []moft.Oid
 	}
-	run := func(q core.Querier) ([]answer, error) {
+	run := func() ([]answer, error) {
 		out := make([]answer, len(queries))
 		for i, qq := range queries {
-			n, err := q.CountSamplesInside(context.Background(), "FM", qq.pg, qq.iv)
+			n, err := w.eng.CountSamplesInside(context.Background(), "FM", qq.pg, qq.iv)
 			if err != nil {
 				return nil, err
 			}
-			s, err := q.ObjectsSampledInside(context.Background(), "FM", qq.pg, qq.iv)
+			s, err := w.eng.ObjectsSampledInside(context.Background(), "FM", qq.pg, qq.iv)
 			if err != nil {
 				return nil, err
 			}
-			p, err := q.ObjectsPassingThrough(context.Background(), "FM", qq.pg, qq.iv)
+			p, err := w.eng.ObjectsPassingThrough(context.Background(), "FM", qq.pg, qq.iv)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +102,7 @@ func TestTemporalShardedFuzz(t *testing.T) {
 
 	w.eng.SetAggGrid(-1)
 	w.eng.ResetCache()
-	oracle, err := run(w.eng)
+	oracle, err := run()
 	if err != nil {
 		t.Fatalf("oracle sweep: %v", err)
 	}
@@ -113,25 +111,12 @@ func TestTemporalShardedFuzz(t *testing.T) {
 	for _, buckets := range []int{1, 16, 256, 0, -1} {
 		w.eng.SetTimeBuckets(buckets)
 		w.eng.ResetCache()
-		got, err := run(w.eng)
+		got, err := run()
 		if err != nil {
-			t.Fatalf("buckets %d unsharded: %v", buckets, err)
+			t.Fatalf("buckets %d: %v", buckets, err)
 		}
 		if !reflect.DeepEqual(got, oracle) {
-			t.Errorf("buckets %d unsharded diverged from scan oracle", buckets)
-		}
-		for _, shards := range []int{1, 2, 3} {
-			se := core.NewSharded(w.eng.Context(), shards)
-			se.SetMetrics(w.met)
-			se.SetAggGrid(0)
-			se.SetTimeBuckets(buckets)
-			got, err := run(se)
-			if err != nil {
-				t.Fatalf("buckets %d shards %d: %v", buckets, shards, err)
-			}
-			if !reflect.DeepEqual(got, oracle) {
-				t.Errorf("buckets %d shards %d diverged from scan oracle", buckets, shards)
-			}
+			t.Errorf("buckets %d diverged from scan oracle", buckets)
 		}
 	}
 	w.eng.SetTimeBuckets(0)
@@ -142,7 +127,7 @@ func TestTemporalShardedFuzz(t *testing.T) {
 // bit-identity gate must hold on the temporal-index paths (zero
 // AggGridMismatches) while the index is demonstrably used.
 func TestTemporalVerifyMode(t *testing.T) {
-	w, fm := newShardedFixture(t, 55)
+	w, fm := newRandomWorkload(t, 55)
 	lo, hi, _ := fm.TimeSpan()
 	rng := rand.New(rand.NewSource(56))
 	w.eng.SetGridVerify(true)
@@ -173,7 +158,7 @@ func TestTemporalVerifyMode(t *testing.T) {
 // answers empty without building trajectories, counts an
 // AggGridTimeSkips, and verify mode agrees with the full path.
 func TestTemporalPrefilterPassingThrough(t *testing.T) {
-	w, fm := newShardedFixture(t, 77)
+	w, fm := newRandomWorkload(t, 77)
 	_, hi, _ := fm.TimeSpan()
 	off := timedim.Interval{Lo: hi + 100, Hi: hi + 200}
 
@@ -214,34 +199,5 @@ func TestTemporalPrefilterPassingThrough(t *testing.T) {
 	}
 	if d := w.met.AggGridTimeSkips.Value() - before; d != 0 {
 		t.Errorf("prefilter engaged with the grid disabled (delta %d)", d)
-	}
-}
-
-// TestShardedSetTimeBucketsFanOut: the coordinator knob must reach the
-// global engine and every shard — after disabling the index fleet-wide,
-// no shard answers through it; after re-enabling, they do.
-func TestShardedSetTimeBucketsFanOut(t *testing.T) {
-	w, fm := newShardedFixture(t, 91)
-	lo, hi, _ := fm.TimeSpan()
-	narrow := timedim.Interval{Lo: lo + (hi-lo)/3, Hi: lo + (hi-lo)/2}
-	se := core.NewSharded(w.eng.Context(), 3)
-	met := obs.NewMetrics(obs.NewRegistry())
-	se.SetMetrics(met)
-
-	se.SetTimeBuckets(-1)
-	if _, err := se.CountSamplesInside(context.Background(), "FM", w.pg, narrow); err != nil {
-		t.Fatal(err)
-	}
-	if n := met.AggGridTemporalQueries.Value(); n != 0 {
-		t.Fatalf("temporal index answered %d queries after SetTimeBuckets(-1) fan-out", n)
-	}
-
-	se.SetTimeBuckets(0)
-	se.ResetCache()
-	if _, err := se.CountSamplesInside(context.Background(), "FM", w.pg, narrow); err != nil {
-		t.Fatal(err)
-	}
-	if met.AggGridTemporalQueries.Value() == 0 {
-		t.Fatal("temporal index never engaged after re-enabling fleet-wide")
 	}
 }

@@ -28,9 +28,9 @@
 //     //moglint:detached annotation;
 //   - budgetstride   — loops over MOFT rows on budget-governed paths
 //     call the query controller within checkEvery rows;
-//   - telemetrybracket — exported Querier methods on the engine
-//     facades run the telemetry begin/done bracket exactly once on
-//     every return path, verified over the control-flow graph;
+//   - telemetrybracket — exported Querier methods on the Engine run
+//     the telemetry begin/done bracket exactly once on every return
+//     path, verified over the control-flow graph;
 //   - errwrap        — typed qerr/budget errors cross package
 //     boundaries via %w and errors.Is/As, never string matching.
 //

@@ -7,11 +7,11 @@ import (
 )
 
 // AnalyzerLockOrder guards the two classic mutex failure modes in the
-// sharded engine's hot path:
+// engine's hot path:
 //
 //  1. a sync.Mutex / sync.RWMutex held across a blocking operation — a
 //     channel send or receive, a select without a default clause, or a
-//     sync.WaitGroup.Wait — which turns shard fan-in stalls into
+//     sync.WaitGroup.Wait — which turns worker fan-in stalls into
 //     whole-engine stalls (and deadlocks outright when the blocked
 //     goroutine is the one that would unblock the channel);
 //  2. two locks acquired in opposite orders at different sites, the

@@ -27,9 +27,7 @@ import (
 // cube catalog.
 type System struct {
 	Ctx *fo.Context
-	// Engine answers the moving-object queries: either an unsharded
-	// *core.Engine or a *core.ShardedEngine (pietql -shards) — both
-	// answer bit-identically behind core.Querier.
+	// Engine answers the moving-object queries.
 	Engine core.Querier
 	// Kinds maps each Piet-QL-visible layer name to the geometry kind
 	// its variable ranges over.

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -30,6 +32,10 @@ type ingestResponse struct {
 // loading contract is single-threaded, so in-flight queries keep
 // reading the old immutable table), engine trajectory caches are
 // invalidated, and each applied row is folded into the geofence hub.
+// A batch that would break the MOFT's invariants — a non-finite
+// coordinate, or an (oid, t) already in the batch or the table — is
+// rejected whole with a 400 naming the line, before anything is
+// applied.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64) error {
 	table := r.URL.Query().Get("table")
 	if table == "" {
@@ -38,6 +44,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64)
 	}
 
 	var rows []moft.Tuple
+	var lines []int // lines[i] is the body line rows[i] came from
 	sc := bufio.NewScanner(http.MaxBytesReader(nil, r.Body, maxIngestBody))
 	line := 0
 	for sc.Scan() {
@@ -52,6 +59,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64)
 				err: fmt.Errorf("line %d: %w", line, err)}
 		}
 		rows = append(rows, tp)
+		lines = append(lines, line)
 	}
 	if err := sc.Err(); err != nil {
 		return &httpError{status: http.StatusBadRequest, code: "bad_request",
@@ -62,7 +70,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, id uint64)
 			err: fmt.Errorf("empty batch: no position updates in body")}
 	}
 
-	events, err := s.applyIngest(table, rows)
+	events, err := s.applyIngest(table, rows, lines)
 	if err != nil {
 		return err
 	}
@@ -86,30 +94,78 @@ func parseIngestLine(text string) (moft.Tuple, error) {
 	if err != nil {
 		return moft.Tuple{}, fmt.Errorf("t: %w", err)
 	}
-	x, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
+	x, err := parseCoord(parts[2])
 	if err != nil {
 		return moft.Tuple{}, fmt.Errorf("x: %w", err)
 	}
-	y, err := strconv.ParseFloat(strings.TrimSpace(parts[3]), 64)
+	y, err := parseCoord(parts[3])
 	if err != nil {
 		return moft.Tuple{}, fmt.Errorf("y: %w", err)
 	}
 	return moft.Tuple{Oid: moft.Oid(oid), T: timedim.Instant(ts), X: x, Y: y}, nil
 }
 
-// applyIngest installs the batch: build a replacement table from the
-// current tuples plus the batch, swap it into the model context, drop
-// the engine's cached state for the table, then publish geofence
-// transitions. Batches are serialized by ingestMu — the copy-on-write
-// scheme needs a stable "current" table per batch — while queries keep
-// running against whichever table version they started with.
-func (s *Server) applyIngest(table string, rows []moft.Tuple) (events int, err error) {
+// parseCoord parses one coordinate. strconv.ParseFloat accepts "NaN"
+// and "±Inf"; a non-finite position poisons every interpolated query
+// over its object, so it is refused here.
+func parseCoord(field string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%v is not a finite coordinate", v)
+	}
+	return v, nil
+}
+
+// checkDuplicates enforces the MOFT functional dependency
+// (Oid, t) → position: no row may repeat an (oid, t) of an earlier
+// row of the batch or of the current table. A duplicate would make
+// every later interpolation of that object fail. The in-batch check
+// is a map; the table check is a binary search in the object's
+// time-ordered tuples, so the cost is O(batch · log n).
+func checkDuplicates(old *moft.Table, rows []moft.Tuple, lines []int) error {
+	type key struct {
+		oid moft.Oid
+		t   timedim.Instant
+	}
+	seen := make(map[key]int, len(rows))
+	for i, tp := range rows {
+		k := key{tp.Oid, tp.T}
+		if first, dup := seen[k]; dup {
+			return &httpError{status: http.StatusBadRequest, code: "bad_request",
+				err: fmt.Errorf("line %d: duplicate (oid %d, t %d): same as line %d", lines[i], tp.Oid, tp.T, first)}
+		}
+		seen[k] = lines[i]
+		obj := old.ObjectTuples(tp.Oid)
+		j := sort.Search(len(obj), func(j int) bool { return obj[j].T >= tp.T })
+		if j < len(obj) && obj[j].T == tp.T {
+			return &httpError{status: http.StatusBadRequest, code: "bad_request",
+				err: fmt.Errorf("line %d: duplicate (oid %d, t %d): already in table %s", lines[i], tp.Oid, tp.T, old.Name())}
+		}
+	}
+	return nil
+}
+
+// applyIngest installs the batch: check it against the current table,
+// build a replacement table from the current tuples plus the batch,
+// swap it into the model context, drop the engine's cached state for
+// the table, then publish geofence transitions. Batches are serialized
+// by ingestMu — the copy-on-write scheme and the duplicate check need
+// a stable "current" table per batch — while queries keep running
+// against whichever table version they started with.
+func (s *Server) applyIngest(table string, rows []moft.Tuple, lines []int) (events int, err error) {
 	s.ingestMu.Lock()
 	old, err := s.sys.Ctx.Table(table)
 	if err != nil {
 		s.ingestMu.Unlock()
 		return 0, &httpError{status: http.StatusNotFound, code: "unknown_table",
 			err: fmt.Errorf("table %q: %w", table, err)}
+	}
+	if err := checkDuplicates(old, rows, lines); err != nil {
+		s.ingestMu.Unlock()
+		return 0, err
 	}
 	next := moft.New(table)
 	for _, tp := range old.Tuples() {

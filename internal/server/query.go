@@ -204,7 +204,7 @@ func (e *httpError) Unwrap() error { return e.err }
 const statusCodeClientClosed = 499
 
 // statusFor maps a typed pipeline error to its HTTP rendering. The
-// table is the contract documented in DESIGN.md §15.
+// table is the contract documented in DESIGN.md §14.
 func statusFor(r *http.Request, err error) (status int, code string) {
 	var he *httpError
 	var be *core.BudgetError

@@ -10,7 +10,7 @@
 //     MaxQueue more wait, deadline-aware, for at most QueueWait. Excess
 //     load is shed with 429/503 + Retry-After, never queued unbounded.
 //   - Typed failures: every pipeline error class maps to a documented
-//     status code (DESIGN.md §15) — parse 400, eval 422, budget 413/422,
+//     status code (DESIGN.md §14) — parse 400, eval 422, budget 413/422,
 //     deadline 408, client-gone 499, recovered panic 500 with query id.
 //   - Panic isolation: a handler panic is recovered at the endpoint
 //     boundary, recorded, and cannot take the daemon down.
@@ -18,8 +18,7 @@
 //     shutdown event, drain in-flight work within DrainBudget, then
 //     hard-close stragglers.
 //
-// Both *core.Engine and *core.ShardedEngine serve behind core.Querier;
-// the server never knows which. Every request produces one telemetry
+// Every request produces one telemetry
 // QueryRecord (ops http_query / http_ingest / http_events).
 package server
 
@@ -58,8 +57,7 @@ const OutcomeShed = telemetry.Outcome("shed")
 // Config assembles a Server. Zero values select the documented
 // defaults; System is the only required field.
 type Config struct {
-	// System runs the Piet-QL pipeline; its Engine may be a
-	// *core.Engine or a *core.ShardedEngine.
+	// System runs the Piet-QL pipeline.
 	System *pietql.System
 	// Telemetry receives one QueryRecord per request; nil falls back
 	// to telemetry.Default().

@@ -102,7 +102,7 @@ func TestQueryJSONBodyAndBudgets(t *testing.T) {
 }
 
 // TestQueryStatusMapping pins the typed-error → status-code contract
-// from DESIGN.md §15.
+// from DESIGN.md §14.
 func TestQueryStatusMapping(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 
@@ -237,59 +237,47 @@ func TestQueryTextFormat(t *testing.T) {
 }
 
 // TestIngestInvalidatesCaches proves live ingest is visible to
-// queries on both engine shapes: the MO count changes after new
-// trajectory rows arrive, which requires the copy-on-write table swap
-// AND the trajectory-cache invalidation to both work.
+// queries: the MO count changes after new trajectory rows arrive,
+// which requires the copy-on-write table swap AND the trajectory-cache
+// invalidation to both work.
 func TestIngestInvalidatesCaches(t *testing.T) {
-	for _, shards := range []int{0, 3} {
-		name := "unsharded"
-		if shards > 1 {
-			name = "sharded"
-		}
-		t.Run(name, func(t *testing.T) {
-			s, _ := newTestServer(t, func(c *Config) {
-				sys, err := NewSystem(SystemConfig{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.System = sys
-			})
+	t.Run("unsharded", func(t *testing.T) {
+		s, _ := newTestServer(t, nil)
 
-			count := func() int {
-				w := do(s, "POST", "/query", moQuery, nil)
-				if w.Code != http.StatusOK {
-					t.Fatalf("query: %d %s", w.Code, w.Body.String())
-				}
-				var resp queryResponse
-				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-					t.Fatal(err)
-				}
-				if !resp.HasMO {
-					t.Fatal("no MO result")
-				}
-				return resp.MOCount
-			}
-
-			before := count()
-			// A brand-new object crossing neighborhood polygons.
-			batch := "9001,10,0.5,0.5\n9001,20,3.5,0.5\n9001,30,3.5,3.5\n"
-			w := do(s, "POST", "/ingest?table=FMbus", batch, nil)
+		count := func() int {
+			w := do(s, "POST", "/query", moQuery, nil)
 			if w.Code != http.StatusOK {
-				t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+				t.Fatalf("query: %d %s", w.Code, w.Body.String())
 			}
-			var ir ingestResponse
-			if err := json.Unmarshal(w.Body.Bytes(), &ir); err != nil {
+			var resp queryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}
-			if ir.Rows != 3 {
-				t.Errorf("rows = %d, want 3", ir.Rows)
+			if !resp.HasMO {
+				t.Fatal("no MO result")
 			}
-			after := count()
-			if after <= before {
-				t.Errorf("MO count %d -> %d; ingest invisible to queries (stale caches?)", before, after)
-			}
-		})
-	}
+			return resp.MOCount
+		}
+
+		before := count()
+		// A brand-new object crossing neighborhood polygons.
+		batch := "9001,10,0.5,0.5\n9001,20,3.5,0.5\n9001,30,3.5,3.5\n"
+		w := do(s, "POST", "/ingest?table=FMbus", batch, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+		}
+		var ir ingestResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &ir); err != nil {
+			t.Fatal(err)
+		}
+		if ir.Rows != 3 {
+			t.Errorf("rows = %d, want 3", ir.Rows)
+		}
+		after := count()
+		if after <= before {
+			t.Errorf("MO count %d -> %d; ingest invisible to queries (stale caches?)", before, after)
+		}
+	})
 }
 
 func TestIngestErrors(t *testing.T) {
