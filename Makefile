@@ -81,10 +81,12 @@ vet-strict: vet
 		./...
 
 # Each fuzz target for 10s: point-in-polygon vs the grid-verify scan
-# oracle, the Piet-QL parser's no-panic guarantee, and /ingest's
-# guarantee that an accepted batch never breaks a later query.
+# oracle, grouped (GROUP BY) counts vs the reference per-bucket loop,
+# the Piet-QL parser's no-panic guarantee, and /ingest's guarantee
+# that an accepted batch never breaks a later query.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPointInPolygon -fuzztime=10s ./internal/geom/
+	$(GO) test -run=NONE -fuzz=FuzzBuckets -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/pietql/
 	$(GO) test -run=NONE -fuzz=FuzzIngest -fuzztime=10s ./internal/server/
 

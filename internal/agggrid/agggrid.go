@@ -17,11 +17,12 @@
 //
 // The classification is exact, so accelerated results are identical to
 // a full scan: cells partition the samples, a cell whose rectangle
-// meets no boundary segment is uniformly inside or outside the closed
-// polygon (classified by its center), and any sample lying exactly on
-// the polygon boundary is inside a boundary cell, where it gets the
-// exact test. Closed-polygon semantics (boundary points count as
-// inside) match geom.Polygon.ContainsPoint.
+// (widened by a slack far above the rounding error of the cell
+// assignment) meets no boundary segment is uniformly inside or
+// outside the closed polygon (classified by its center), and any
+// sample lying exactly on the polygon boundary is inside a boundary
+// cell, where it gets the exact test. Closed-polygon semantics
+// (boundary points count as inside) match geom.Polygon.ContainsPoint.
 //
 // Every function here is a query hot path and must answer
 // bit-identically to the serial scan it accelerates:
@@ -70,6 +71,12 @@ type Grid struct {
 	nx, ny int
 	cellW  float64
 	cellH  float64
+	// slack widens every rectangle Cover tests, far beyond the
+	// rounding error of cellOf's division: a sample exactly on a
+	// polygon edge that falls on a cell border, or on the extent's max
+	// edge, can be filed in a cell whose computed rectangle misses it
+	// by an ulp, and that cell must still be classified Boundary.
+	slack float64
 
 	// cellStart/rows is a CSR layout: cell c owns sample rows
 	// rows[cellStart[c]:cellStart[c+1]], each an index into the
@@ -143,6 +150,9 @@ func BuildCtx(ctx context.Context, cols *moft.Columns, cfg Config) (*Grid, error
 	if g.cellH = g.extent.Height() / float64(g.ny); g.cellH <= 0 {
 		g.cellH = 1
 	}
+	g.slack = 1e-9 * math.Max(math.Max(g.cellW, g.cellH), math.Max(
+		math.Max(math.Abs(g.extent.MinX), math.Abs(g.extent.MaxX)),
+		math.Max(math.Abs(g.extent.MinY), math.Abs(g.extent.MaxY))))
 
 	cells := g.nx * g.ny
 	g.minT, g.maxT = cols.T[0], cols.T[0]
@@ -261,11 +271,12 @@ type Cover struct {
 
 // Cover classifies the cells overlapping pg's bounding box. A cell is
 // Boundary iff some polygon boundary segment intersects its closed
-// rectangle; the remaining cells are uniformly inside or outside and
-// classified by one center point-in-polygon test.
+// rectangle widened by the grid's slack; the remaining cells are
+// uniformly inside or outside and classified by one center
+// point-in-polygon test.
 func (g *Grid) Cover(pg geom.Polygon) Cover {
 	var cv Cover
-	x0, x1, y0, y1, ok := g.cellRange(pg.BBox())
+	x0, x1, y0, y1, ok := g.cellRange(pg.BBox().Expand(g.slack))
 	if !ok {
 		return cv
 	}
@@ -273,14 +284,14 @@ func (g *Grid) Cover(pg geom.Polygon) Cover {
 	for _, r := range pg.Rings() {
 		for i := 0; i < r.NumVertices(); i++ {
 			seg := r.Segment(i)
-			sx0, sx1, sy0, sy1, ok := g.cellRange(seg.BBox())
+			sx0, sx1, sy0, sy1, ok := g.cellRange(seg.BBox().Expand(g.slack))
 			if !ok {
 				continue
 			}
 			for cy := sy0; cy <= sy1; cy++ {
 				for cx := sx0; cx <= sx1; cx++ {
 					c := cy*g.nx + cx
-					if !marked[c] && segIntersectsRect(seg, g.cellBox(c)) {
+					if !marked[c] && segIntersectsRect(seg, g.cellBox(c).Expand(g.slack)) {
 						marked[c] = true
 					}
 				}

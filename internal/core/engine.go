@@ -1029,17 +1029,9 @@ func (e *Engine) CountPassingThroughGeometries(ctx context.Context, table, layer
 	defer done(&err)
 	e.countQuery(7)
 	qc.noteWindow(iv)
-	l, ok := e.mctx.GIS().Layer(layerName)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown layer %q", layerName)
-	}
-	pgs := make([]geom.Polygon, len(ids))
-	for i, id := range ids {
-		pg, ok := l.Polygon(id)
-		if !ok {
-			return 0, fmt.Errorf("core: layer %q has no polygon %d", layerName, id)
-		}
-		pgs[i] = pg
+	pgs, err := e.layerPolygons(layerName, ids)
+	if err != nil {
+		return 0, err
 	}
 	tc, err := e.table(ctx, qc, table)
 	if err != nil {

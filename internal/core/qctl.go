@@ -26,10 +26,12 @@ import (
 // abort latency bounded without putting an atomic on every row.
 const checkEvery = 1024
 
-// Budget bounds one query's resource consumption. The zero value is
+// Budget bounds one request's resource consumption. The zero value is
 // unlimited. Attach it with WithBudget; every engine entry point
 // enforces it at the same cooperative checkpoints that observe
 // cancellation, returning a *BudgetError on the first limit crossed.
+// MaxRows and MaxResults count across every engine call made under
+// the context WithBudget returned; Timeout applies to each call.
 type Budget struct {
 	// MaxRows caps the MOFT rows / trajectory samples the query may
 	// examine (0 = unlimited).
@@ -46,16 +48,30 @@ type Budget struct {
 
 type budgetCtxKey struct{}
 
-// WithBudget returns a context carrying b; engine queries run under
-// it enforce the budget at their cancellation checkpoints.
+// budgetTally is one request's budget and the rows and results every
+// engine call made under it has consumed so far. Each WithBudget call
+// attaches a fresh tally, so a Piet-QL query that makes k engine calls
+// spends one budget, not k.
+type budgetTally struct {
+	budget  Budget
+	rows    atomic.Int64
+	results atomic.Int64
+}
+
+// WithBudget returns a context carrying b with fresh counters; every
+// engine query run under it charges the same counters, and each
+// enforces the budget at its cancellation checkpoints.
 func WithBudget(ctx context.Context, b Budget) context.Context {
-	return context.WithValue(ctx, budgetCtxKey{}, b)
+	return context.WithValue(ctx, budgetCtxKey{}, &budgetTally{budget: b})
 }
 
 // BudgetFrom extracts the budget attached by WithBudget, if any.
 func BudgetFrom(ctx context.Context) (Budget, bool) {
-	b, ok := ctx.Value(budgetCtxKey{}).(Budget)
-	return b, ok
+	t, ok := ctx.Value(budgetCtxKey{}).(*budgetTally)
+	if !ok {
+		return Budget{}, false
+	}
+	return t.budget, true
 }
 
 // BudgetError reports a query aborted at a resource budget.
@@ -83,12 +99,13 @@ func isInjected(err error) bool {
 	return errors.As(err, &f)
 }
 
-// qctl is one query's control state: the budget in force, the
-// rows/results consumed so far, and the cache hit/miss tally the
+// qctl is one query's control state: the request's budget tally, the
+// rows/results this call consumed, and the cache hit/miss tally the
 // telemetry record reports, shared atomically across the query's
 // worker goroutines.
 type qctl struct {
-	budget      Budget
+	// tally is the request-wide budget and counters (nil = unlimited).
+	tally       *budgetTally
 	rows        atomic.Int64
 	results     atomic.Int64
 	cacheHits   atomic.Int64
@@ -135,9 +152,12 @@ func (q *qctl) addRows(ctx context.Context, n int64) error {
 	if q == nil {
 		return nil
 	}
-	used := q.rows.Add(n)
-	if max := q.budget.MaxRows; max > 0 && used > max {
-		return &BudgetError{Resource: "rows", Limit: max, Used: used}
+	q.rows.Add(n)
+	if t := q.tally; t != nil {
+		used := t.rows.Add(n)
+		if max := t.budget.MaxRows; max > 0 && used > max {
+			return &BudgetError{Resource: "rows", Limit: max, Used: used}
+		}
 	}
 	return nil
 }
@@ -147,18 +167,21 @@ func (q *qctl) addResults(n int64) error {
 	if q == nil {
 		return nil
 	}
-	used := q.results.Add(n)
-	if max := q.budget.MaxResults; max > 0 && used > max {
-		return &BudgetError{Resource: "results", Limit: max, Used: used}
+	q.results.Add(n)
+	if t := q.tally; t != nil {
+		used := t.results.Add(n)
+		if max := t.budget.MaxResults; max > 0 && used > max {
+			return &BudgetError{Resource: "results", Limit: max, Used: used}
+		}
 	}
 	return nil
 }
 
 // begin opens the per-query control bracket for an exported entry
-// point: it resolves the context's Budget, applies its wall-clock
-// deadline, and returns the tracker, the (possibly deadlined) context
-// and the done func the entry point must defer with a pointer to its
-// named error result. done recovers any panic that escaped the
+// point: it resolves the context's budget tally, applies its
+// wall-clock deadline, and returns the tracker, the (possibly
+// deadlined) context and the done func the entry point must defer
+// with a pointer to its named error result. done recovers any panic that escaped the
 // panic-isolated inner layers, releases the deadline timer, classifies
 // the outcome into the obs counters and the trace, and — when a
 // telemetry collector is attached — records one QueryRecord for the
@@ -168,12 +191,12 @@ func (e *Engine) begin(ctx context.Context, op, table string) (*qctl, context.Co
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	b, _ := BudgetFrom(ctx)
+	tally, _ := ctx.Value(budgetCtxKey{}).(*budgetTally)
 	cancel := func() {}
-	if b.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
+	if tally != nil && tally.budget.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, tally.budget.Timeout)
 	}
-	qc := &qctl{budget: b}
+	qc := &qctl{tally: tally}
 	tel := e.telemetry()
 	var start time.Time
 	if tel.Enabled() {

@@ -16,7 +16,7 @@ import (
 )
 
 // Querier is the engine surface callers (pietql, the server, the
-// benchmarks, the experiments) hold instead of *Engine: the 17 query
+// benchmarks, the experiments) hold instead of *Engine: the 18 query
 // entry points plus the configuration and cache-lifecycle knobs.
 // Wrappers embed it to intercept calls (the wire benchmark's tracing
 // engine does).
@@ -60,6 +60,7 @@ type Querier interface {
 	TimeSpentInside(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval) (map[moft.Oid]float64, error)
 	ObjectsEverWithinRadius(ctx context.Context, table string, center geom.Point, r float64, iv timedim.Interval) (map[moft.Oid]float64, error)
 	CountPassingThroughGeometries(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval) (int, error)
+	CountPassingThroughBuckets(ctx context.Context, table, layerName string, ids []layer.Gid, iv timedim.Interval, cat timedim.Category, sampled bool) ([]BucketCount, int, error)
 	ObjectsPossiblyPassingThrough(ctx context.Context, table string, pg geom.Polygon, iv timedim.Interval, speedFactor float64) (PossiblyResult, error)
 
 	// Type 8: aggregation over one trajectory.

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"mogis/internal/core"
 	"mogis/internal/fo"
 	"mogis/internal/geom"
 	"mogis/internal/gis"
@@ -53,10 +54,15 @@ func SetBaseContext(ctx context.Context) {
 	baseCtx = ctx
 }
 
-// qctx returns the configured base context.
+// qctx returns the configured base context. A budget on it is
+// re-attached with fresh counters, so each engine call gets the whole
+// budget, as mobench's -max-rows and -max-results promise.
 func qctx() context.Context {
 	baseMu.Lock()
 	defer baseMu.Unlock()
+	if b, ok := core.BudgetFrom(baseCtx); ok {
+		return core.WithBudget(baseCtx, b)
+	}
 	return baseCtx
 }
 

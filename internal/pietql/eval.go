@@ -10,7 +10,6 @@ import (
 
 	"mogis/internal/core"
 	"mogis/internal/fo"
-	"mogis/internal/geom"
 	"mogis/internal/layer"
 	"mogis/internal/mdx"
 	"mogis/internal/moft"
@@ -201,6 +200,12 @@ func ExplainPlan(q *Query) string {
 		}
 		fmt.Fprintf(&sb, "  mo: %s(*) from %s passing through %s (%s)\n",
 			q.MO.Agg, q.MO.Table, q.MO.ThroughLayer, semantics)
+		if q.MO.HasWindow {
+			fmt.Fprintf(&sb, "    during %s to %s\n", q.MO.Window.Lo, q.MO.Window.Hi)
+		}
+		if q.MO.GroupBy != "" {
+			fmt.Fprintf(&sb, "    group by %s\n", q.MO.GroupBy)
+		}
 	}
 	return sb.String()
 }
@@ -615,103 +620,24 @@ func (s *System) evalMO(ctx context.Context, q *MOQuery, geoIDs map[string][]lay
 }
 
 // evalMOGrouped computes per-bucket object counts for GROUP BY hour
-// or day: an object contributes to every bucket its passing intervals
-// (or in-polygon samples) overlap. The returned total is the number
-// of distinct contributing objects.
+// or day through the engine's bucketed entry point and labels each
+// bucket with its Time-dimension member. The returned total is the
+// number of distinct contributing objects.
 func (s *System) evalMOGrouped(ctx context.Context, q *MOQuery, ids []layer.Gid, window timedim.Interval) (*olap.AggResult, int, error) {
-	l, _ := s.Ctx.GIS().Layer(q.ThroughLayer)
-	polys := make([]geom.Polygon, 0, len(ids))
-	for _, id := range ids {
-		pg, ok := l.Polygon(id)
-		if !ok {
-			return nil, 0, fmt.Errorf("pietql: layer %q has no polygon %d", q.ThroughLayer, id)
-		}
-		polys = append(polys, pg)
+	buckets, total, err := s.Engine.CountPassingThroughBuckets(ctx, q.Table, q.ThroughLayer, ids, window, q.GroupBy, q.SampledOnly)
+	if err != nil {
+		return nil, 0, err
 	}
-
-	bucketWidth := int64(timedim.SecondsPerHour)
-	if q.GroupBy == timedim.CatDay {
-		bucketWidth = timedim.SecondsPerDay
-	}
-	truncate := func(t timedim.Instant) timedim.Instant {
-		if q.GroupBy == timedim.CatDay {
-			return t.TruncateDay()
-		}
-		return t.TruncateHour()
-	}
-
-	perBucket := make(map[string]map[moft.Oid]bool)
-	contributing := make(map[moft.Oid]bool)
-	mark := func(oid moft.Oid, t timedim.Instant) {
-		label, _ := timedim.Rollup(q.GroupBy, t)
-		if perBucket[label] == nil {
-			perBucket[label] = make(map[moft.Oid]bool)
-		}
-		perBucket[label][oid] = true
-		contributing[oid] = true
-	}
-
-	if q.SampledOnly {
-		tbl, err := s.Ctx.Table(q.Table)
-		if err != nil {
-			return nil, 0, err
-		}
-		rows := 0
-		tbl.ScanInterval(window, func(tp moft.Tuple) bool {
-			if rows++; rows%4096 == 0 && ctx.Err() != nil {
-				return false
-			}
-			for _, pg := range polys {
-				if pg.ContainsPoint(tp.Point()) {
-					mark(tp.Oid, tp.T)
-					break
-				}
-			}
-			return true
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-	} else {
-		lits, err := s.Engine.Trajectories(ctx, q.Table)
-		if err != nil {
-			return nil, 0, err
-		}
-		for oid, lit := range lits {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			for _, pg := range polys {
-				for _, iv := range lit.InsidePolygonIntervals(pg) {
-					lo, hi := iv.Lo, iv.Hi
-					if lo < float64(window.Lo) {
-						lo = float64(window.Lo)
-					}
-					if hi > float64(window.Hi) {
-						hi = float64(window.Hi)
-					}
-					if hi < lo {
-						continue
-					}
-					// Mark every bucket the clipped interval overlaps.
-					for b := truncate(timedim.Instant(lo)); float64(b) <= hi; b += timedim.Instant(bucketWidth) {
-						mark(oid, b)
-					}
-				}
-			}
-		}
-	}
-
 	res := &olap.AggResult{GroupCols: []string{string(q.GroupBy)}}
-	for label, objs := range perBucket {
+	for _, b := range buckets {
+		label, _ := timedim.Rollup(q.GroupBy, b.Start)
 		res.Rows = append(res.Rows, olap.AggResultRow{
 			Group: []olap.Member{olap.Member(label)},
-			Value: float64(len(objs)),
-			N:     int64(len(objs)),
+			Value: float64(b.Objects),
+			N:     int64(b.Objects),
 		})
 	}
-	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Group[0] < res.Rows[j].Group[0] })
-	return res, len(contributing), nil
+	return res, total, nil
 }
 
 // FormatOutcome renders an outcome as text for CLI use.

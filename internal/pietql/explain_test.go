@@ -72,6 +72,41 @@ func TestExplainPlanOnly(t *testing.T) {
 	}
 }
 
+// TestExplainPlanWindowGroupBy: the plan prints the MO part's DURING
+// window and GROUP BY category.
+func TestExplainPlanWindowGroupBy(t *testing.T) {
+	sys := system(t, true)
+	out, err := sys.Run(context.Background(), "EXPLAIN "+paperQuery+
+		` | | MOVING COUNT(*) FROM FMbus WHERE PASSES THROUGH layer.Ln DURING '2006-01-09 06:00' TO '2006-01-09 12:00' GROUP BY hour`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"during 2006-01-09 06:00 to 2006-01-09 12:00", "group by hour"} {
+		if !strings.Contains(out.Explain, want) {
+			t.Errorf("Explain missing %q:\n%s", want, out.Explain)
+		}
+	}
+}
+
+// TestExplainAnalyzeGrouped: a grouped query runs through the engine's
+// bucketed entry point, whose buckets span under mo reports the
+// polygon, bucket and object counts — under both semantics.
+func TestExplainAnalyzeGrouped(t *testing.T) {
+	sys := system(t, true)
+	for _, sampled := range []string{"", " SAMPLED ONLY"} {
+		out, err := sys.Run(context.Background(), "EXPLAIN ANALYZE "+paperQuery+
+			` | | MOVING COUNT(*) FROM FMbus WHERE PASSES THROUGH layer.Ln`+sampled+` GROUP BY hour`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"buckets", "polygons=2", "objects="} {
+			if !strings.Contains(out.Explain, want) {
+				t.Errorf("%q: Explain missing %q:\n%s", sampled, want, out.Explain)
+			}
+		}
+	}
+}
+
 // TestNoOverlayZeroHits pins the meaning of the overlay counters: a
 // system without a precomputed overlay answers every geometric
 // predicate naively, so a run records only misses.

@@ -189,6 +189,46 @@ func TestQueryStatusMapping(t *testing.T) {
 	}
 }
 
+// TestBudgetStatusAllMOShapes: one budget spans every engine call of
+// a request, so each of the four MO shapes — plain, SAMPLED ONLY,
+// GROUP BY hour, and both — maps an exceeded row or result budget to
+// its typed status, from cold caches.
+func TestBudgetStatusAllMOShapes(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	shapes := map[string]string{
+		"plain":           moQuery,
+		"sampled":         moQuery + ` SAMPLED ONLY`,
+		"grouped":         moQuery + ` GROUP BY hour`,
+		"sampled_grouped": moQuery + ` SAMPLED ONLY GROUP BY hour`,
+	}
+	budgets := []struct {
+		target string
+		status int
+		code   string
+	}{
+		{"/query?max_rows=1", http.StatusUnprocessableEntity, "budget_rows"},
+		{"/query?max_results=1", http.StatusRequestEntityTooLarge, "budget_results"},
+	}
+	for name, q := range shapes {
+		for _, b := range budgets {
+			t.Run(name+"/"+b.code, func(t *testing.T) {
+				s.sys.Engine.ResetCache()
+				w := do(s, "POST", b.target, q, nil)
+				if w.Code != b.status {
+					t.Fatalf("status %d, want %d: %s", w.Code, b.status, w.Body.String())
+				}
+				if e := decodeError(t, w); e.Code != b.code {
+					t.Errorf("code %q, want %q (%s)", e.Code, b.code, e.Error)
+				}
+			})
+		}
+		// Unbudgeted, the same shape answers.
+		if w := do(s, "POST", "/query", q, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s unbudgeted: status %d: %s", name, w.Code, w.Body.String())
+		}
+	}
+}
+
 func TestQueryClientCancel499(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
